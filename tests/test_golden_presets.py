@@ -1,17 +1,21 @@
-"""Golden determinism for the graph/workload presets.
+"""Golden determinism for every bundled preset and every smoke experiment.
 
-Like ``tests/golden/figure3_smoke_seeds3.json`` for the experiment runner,
-these files pin the *byte-exact* output of the three graph+workload presets
-at their default seeds.  Any change to the spec tree, the graph compiler,
+These files pin the *byte-exact* output of all bundled presets at their
+default seeds: the hosts/links and dumbbell presets as well as the
+graph+workload ones.  Any change to the spec tree, the topology compilers,
 the routing tie-breaks, the workload RNG derivation or the arrival/size
 distributions shows up here as a diff — which is exactly the point: those
 are all load-bearing determinism contracts now.
+
+The registry experiments are pinned the same way at ``--smoke`` size, as a
+sha256 manifest (``figure8`` alone is over a megabyte of JSON).
 
 The same-seed and jobs=N invariants mirror the experiment layer: repeat
 runs are byte-identical, traces are byte-identical, and the ``scale``
 experiment reduces to the same bytes no matter how its trials are sharded.
 """
 
+import hashlib
 import json
 import os
 
@@ -31,6 +35,12 @@ GOLDEN_PRESETS = (
     ("flash_crowd_star", 23),
     ("cm_vs_udp_blast", 27),
     ("mobile_handoff_reroute", 31),
+    ("web_vat_mix", 42),
+    ("bulk_macroflow_sharing", 7),
+    ("ecn_vs_loss", 13),
+    ("libcm_poll_streaming", 11),
+    ("libcm_select_streaming", 11),
+    ("dumbbell_bulk", 3),
 )
 
 #: The realism presets additionally pin their bytes under the sharded engine.
@@ -43,8 +53,17 @@ SHARDED_GOLDEN_PRESETS = (
 )
 
 
+#: sha256 of ``run_experiment(name, smoke=True).to_json()`` per registry experiment.
+SMOKE_MANIFEST = os.path.join(GOLDEN_DIR, "experiments_smoke.sha256.json")
+
+
 def golden_path(name: str, seed: int) -> str:
     return os.path.join(GOLDEN_DIR, f"{name}.seed{seed}.json")
+
+
+def load_smoke_manifest() -> dict:
+    with open(SMOKE_MANIFEST, "r", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 class TestGoldenPresets:
@@ -109,6 +128,25 @@ class TestGoldenPresets:
         run(spec, seed=seed, trace_path=str(trace_b))
         assert trace_a.read_bytes() == trace_b.read_bytes()
         assert trace_a.stat().st_size > 0
+
+
+class TestGoldenSmokeExperiments:
+    def test_manifest_covers_every_registry_experiment(self):
+        from repro.experiments.registry import SPECS
+
+        assert sorted(load_smoke_manifest()) == sorted(SPECS)
+
+    def test_every_preset_has_a_golden(self):
+        from repro.scenario import PRESETS
+
+        assert sorted(name for name, _ in GOLDEN_PRESETS) == sorted(PRESETS)
+
+    @pytest.mark.parametrize("name", sorted(load_smoke_manifest()))
+    def test_smoke_artifact_matches_checked_in_digest(self, name):
+        from repro.experiments.runner import run_experiment
+
+        text = run_experiment(name, smoke=True, jobs=1, cache=None, verbose=False).to_json()
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == load_smoke_manifest()[name]
 
 
 class TestScaleExperimentSharding:
