@@ -33,7 +33,7 @@ from ..core.libcm import LibCM
 from ..core.query import QueryResult
 from ..netsim.node import Host
 from ..netsim.packet import Packet
-from ..netsim.trace import RateTracker
+from ..telemetry.recorders import FixedBinAccumulator
 from ..transport.udp.feedback import AppFeedbackTracker
 from ..transport.udp.socket import UDPSocket
 
@@ -93,10 +93,10 @@ class LayeredStreamingServer:
         self._send_event = None
         self._requests_outstanding = 0
 
-        # Instrumentation for Figures 8-10.  The transmission-rate series is
-        # a bounded fixed-bin recorder (RateTracker is a facade over
-        # repro.telemetry.recorders.FixedBinAccumulator since PR 4).
-        self.tx_rate = RateTracker(bin_width=rate_bin)
+        # Instrumentation for Figures 8-10: transmitted bytes in fixed-width
+        # time bins.  65,536 bins at the default 0.5 s width cover over nine
+        # simulated hours, far past any experiment's horizon.
+        self.tx_rate = FixedBinAccumulator(bin_width=rate_bin, max_bins=65_536)
         self.reported_rates: List[Tuple[float, float]] = []
         self.layer_history: List[Tuple[float, int]] = []
         self.packets_sent = 0
@@ -207,7 +207,7 @@ class LayeredStreamingServer:
             headers={"seq": seq, "ts": self.sim.now, "layer": self.current_layer},
         )
         self.tracker.on_sent(seq, self.packet_payload)
-        self.tx_rate.record(self.sim.now, self.packet_payload)
+        self.tx_rate.add(self.sim.now, self.packet_payload)
         self.packets_sent += 1
         self.bytes_sent += self.packet_payload
         probe = self._probe_chunk
@@ -246,8 +246,13 @@ class LayeredStreamingServer:
     # Results                                                                #
     # ====================================================================== #
     def transmission_series(self) -> List[Tuple[float, float]]:
-        """(time, transmission rate in bytes/s) series for plotting."""
-        return self.tx_rate.series()
+        """(time, transmission rate in bytes/s) series for plotting.
+
+        Empty bins between the first and last transmission report zero, so
+        plots show stalls rather than interpolating over them.
+        """
+        width = self.tx_rate.bin_width
+        return [(start, total / width) for start, total in self.tx_rate.bin_series()]
 
     def reported_rate_series(self) -> List[Tuple[float, float]]:
         """(time, CM-reported rate in bytes/s) series for plotting."""

@@ -21,7 +21,6 @@ from .packet import (
     UDP_HEADER_BYTES,
     Packet,
 )
-from .trace import PacketTrace, RateTracker, TraceRecord
 
 __all__ = [
     "Channel",
@@ -43,9 +42,6 @@ __all__ = [
     "Host",
     "Router",
     "Packet",
-    "PacketTrace",
-    "RateTracker",
-    "TraceRecord",
     "DEFAULT_MSS",
     "DEFAULT_MTU",
     "IP_HEADER_BYTES",

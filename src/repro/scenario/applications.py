@@ -36,7 +36,7 @@ from ..netsim.node import Host
 from ..netsim.packet import DEFAULT_MSS
 from ..transport.tcp import CMTCPSender, RenoTCPSender, TCPListener
 from ..transport.udp.feedback import AckReflector
-from .spec import AppSpec, SpecError, _kv
+from .spec import AppSpec, SpecError
 
 __all__ = [
     "Param",
@@ -76,46 +76,17 @@ def _coerced(value: Any, param: Param) -> Any:
     return value
 
 
-#: Memo of successful schema walks, keyed by (app class, frozen params).
-#: The key includes the class object itself, so re-registering a different
-#: class under the same name can never serve stale defaults.
-_PARAMS_CACHE: Dict[tuple, Dict[str, Any]] = {}
-_PARAMS_CACHE_MAX = 1024
-
-
 def validate_params(app_name: str, params: Dict[str, Any], path: str = "params") -> Dict[str, Any]:
     """Validate ``params`` against the app's schema; return defaults-applied dict."""
-    return validate_params_cached(get_application(app_name), app_name, params, path,
-                                  _PARAMS_CACHE, _PARAMS_CACHE_MAX)
+    return validate_schema_params(get_application(app_name), app_name, params, path)
 
 
-def validate_params_cached(schema_cls: type, name: str, params: Dict[str, Any], path: str,
-                           cache: Dict[tuple, Dict[str, Any]], cache_max: int) -> Dict[str, Any]:
-    """Memoized schema walk shared by the application and workload registries.
+def validate_schema_params(app_cls: type, app_name: str, params: Dict[str, Any],
+                           path: str) -> Dict[str, Any]:
+    """The schema walk shared by the application and workload registries.
 
-    The key includes the schema class object itself, so re-registering a
-    different class under the same name can never serve stale defaults;
-    hits hand back a copy so callers may mutate their dict freely.
+    Returns a fresh defaults-applied dict, so callers may mutate it freely.
     """
-    try:
-        key = (schema_cls, tuple(sorted((pname, _kv(value)) for pname, value in params.items())))
-    except TypeError:
-        key = None  # unhashable value; the schema walk below will name it
-    if key is not None:
-        cached = cache.get(key)
-        if cached is not None:
-            return dict(cached)
-    normalized = _validate_params_walk(schema_cls, name, params, path)
-    if key is not None:
-        if len(cache) >= cache_max:
-            cache.clear()
-        cache[key] = dict(normalized)
-    return normalized
-
-
-def _validate_params_walk(app_cls: type, app_name: str, params: Dict[str, Any],
-                          path: str) -> Dict[str, Any]:
-    """The full schema walk behind :func:`validate_params`."""
     schema = app_cls.PARAMS
     unknown = sorted(set(params) - set(schema))
     if unknown:

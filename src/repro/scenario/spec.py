@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple, Type, TypeVar
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Type, TypeVar
 
 __all__ = [
     "SpecError",
@@ -149,8 +149,14 @@ def _check_number(value: Any, path: str, minimum: Optional[float] = None,
         _require(value <= maximum, path, f"must be <= {maximum}, got {value!r}")
 
 
-def _check_block_keys(block: Mapping[str, Any], allowed: Sequence[str],
-                      required: Sequence[str], path: str) -> None:
+def _check_integer(value: Any, path: str, minimum: int) -> None:
+    _require(isinstance(value, int) and not isinstance(value, bool),
+             path, f"expected an integer, got {value!r}")
+    _require(value >= minimum, path, f"must be >= {minimum}, got {value!r}")
+
+
+def _check_block_fields(block: Mapping[str, Any], allowed: Sequence[str],
+                        required: Sequence[str], path: str) -> None:
     unknown = sorted(set(block) - set(allowed))
     _require(not unknown, path,
              f"unknown key{'s' if len(unknown) > 1 else ''} "
@@ -166,8 +172,8 @@ def _check_loss_block(loss: Any, path: str) -> None:
     kind = loss.get("kind")
     _require(kind in LOSS_MODEL_KINDS, f"{path}.kind",
              f"unknown loss model {kind!r}; choose from {', '.join(LOSS_MODEL_KINDS)}")
-    _check_block_keys(loss, ("kind", "p_good_bad", "p_bad_good", "loss_good", "loss_bad"),
-                      ("p_good_bad", "p_bad_good"), path)
+    _check_block_fields(loss, ("kind", "p_good_bad", "p_bad_good", "loss_good", "loss_bad"),
+                        ("p_good_bad", "p_bad_good"), path)
     for name in ("p_good_bad", "p_bad_good"):
         _check_number(loss[name], f"{path}.{name}", maximum=1.0)
         _require(loss[name] > 0.0, f"{path}.{name}", f"must be > 0, got {loss[name]!r}")
@@ -186,8 +192,8 @@ def _check_aqm_block(aqm: Any, path: str) -> None:
     kind = aqm.get("kind")
     _require(kind in AQM_KINDS, f"{path}.kind",
              f"unknown aqm {kind!r}; choose from {', '.join(AQM_KINDS)}")
-    _check_block_keys(aqm, ("kind", "min_th", "max_th", "max_p", "w_q", "mean_packet_bytes"),
-                      ("min_th", "max_th"), path)
+    _check_block_fields(aqm, ("kind", "min_th", "max_th", "max_p", "w_q", "mean_packet_bytes"),
+                        ("min_th", "max_th"), path)
     _check_number(aqm["min_th"], f"{path}.min_th", minimum=1)
     _check_number(aqm["max_th"], f"{path}.max_th")
     _require(aqm["max_th"] > aqm["min_th"], f"{path}.max_th",
@@ -200,35 +206,6 @@ def _check_aqm_block(aqm: Any, path: str) -> None:
         _require(aqm["w_q"] > 0.0, f"{path}.w_q", f"must be > 0, got {aqm['w_q']!r}")
     if "mean_packet_bytes" in aqm:
         _check_number(aqm["mean_packet_bytes"], f"{path}.mean_packet_bytes", minimum=1)
-
-
-def _block_key(block: Optional[Mapping[str, Any]]) -> Any:
-    """Hashable validation-cache atom for an optional dict-valued spec block."""
-    if block is None:
-        return None
-    return tuple(sorted((name, _kv(value)) for name, value in block.items()))
-
-
-# ---------------------------------------------------------------------- keys
-# Validation is memoized by spec *content* (see ScenarioSpec.validate): two
-# specs with equal keys pass or fail identically, so re-walking the checks
-# per trial is pure overhead.  ``_kv`` makes the key atoms collision-proof
-# against Python's cross-type equalities (``True == 1``, ``1 == 1.0``):
-# validation treats bools, ints and floats differently (int-only fields
-# reject floats, number fields reject bools), so none of them may share a
-# cache slot with another type.
-_TRUE_KEY = ("bool", True)
-_FALSE_KEY = ("bool", False)
-
-
-def _kv(value: Any) -> Any:
-    if value is True:
-        return _TRUE_KEY
-    if value is False:
-        return _FALSE_KEY
-    if value.__class__ is float:
-        return ("float", value)
-    return value
 
 
 @dataclass
@@ -258,10 +235,6 @@ class HostSpec:
                  f"unknown controller {self.cm_controller!r}; choose from {', '.join(CM_CONTROLLERS)}")
         _require(self.cm_scheduler in CM_SCHEDULERS, f"{path}.cm_scheduler",
                  f"unknown scheduler {self.cm_scheduler!r}; choose from {', '.join(CM_SCHEDULERS)}")
-
-    def _key(self) -> tuple:
-        return (self.name, self.addr, _kv(self.costs), _kv(self.cm),
-                self.cm_controller, self.cm_scheduler)
 
     def to_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
@@ -327,9 +300,9 @@ class LinkSpec:
         if self.reverse_loss_rate is not None:
             _check_number(self.reverse_loss_rate, f"{path}.reverse_loss_rate", minimum=0.0, maximum=1.0)
         if self.queue_limit is not None:
-            _check_number(self.queue_limit, f"{path}.queue_limit", minimum=1)
+            _check_integer(self.queue_limit, f"{path}.queue_limit", minimum=1)
         if self.ecn_threshold is not None:
-            _check_number(self.ecn_threshold, f"{path}.ecn_threshold", minimum=1)
+            _check_integer(self.ecn_threshold, f"{path}.ecn_threshold", minimum=1)
         _require(isinstance(self.seed_offset, int), f"{path}.seed_offset", "must be an integer")
         last = -1.0
         for index, step in enumerate(self.rate_schedule):
@@ -351,13 +324,6 @@ class LinkSpec:
             _check_aqm_block(self.aqm, f"{path}.aqm")
             _require(self.ecn_threshold is None, f"{path}.ecn_threshold",
                      "must stay unset when an aqm is configured (the aqm owns marking)")
-
-    def _key(self) -> tuple:
-        return (self.a, self.b, _kv(self.rate_bps), _kv(self.delay),
-                _kv(self.queue_limit), _kv(self.loss_rate), _kv(self.reverse_loss_rate),
-                _kv(self.ecn_threshold), _kv(self.seed_offset),
-                tuple(tuple(_kv(v) for v in step) for step in self.rate_schedule),
-                _block_key(self.loss), _block_key(self.aqm))
 
     def to_dict(self) -> Dict[str, Any]:
         payload = dataclasses.asdict(self)
@@ -408,19 +374,13 @@ class DumbbellSpec:
         _check_number(self.bottleneck_delay, f"{path}.bottleneck_delay", minimum=0.0)
         _check_number(self.access_bps, f"{path}.access_bps", minimum=1.0)
         _check_number(self.access_delay, f"{path}.access_delay", minimum=0.0)
-        _check_number(self.queue_limit, f"{path}.queue_limit", minimum=1)
+        _check_integer(self.queue_limit, f"{path}.queue_limit", minimum=1)
         _check_number(self.loss_rate, f"{path}.loss_rate", minimum=0.0, maximum=1.0)
         if self.ecn_threshold is not None:
-            _check_number(self.ecn_threshold, f"{path}.ecn_threshold", minimum=1)
+            _check_integer(self.ecn_threshold, f"{path}.ecn_threshold", minimum=1)
         for index in self.cm_senders:
             _require(0 <= index < self.n_pairs, f"{path}.cm_senders",
                      f"sender index {index} out of range 0..{self.n_pairs - 1}")
-
-    def _key(self) -> tuple:
-        return (_kv(self.n_pairs), _kv(self.bottleneck_bps), _kv(self.bottleneck_delay),
-                _kv(self.access_bps), _kv(self.access_delay), _kv(self.queue_limit),
-                _kv(self.loss_rate), _kv(self.ecn_threshold), _kv(self.with_costs),
-                self.cm_senders)
 
     def to_dict(self) -> Dict[str, Any]:
         payload = dataclasses.asdict(self)
@@ -462,10 +422,6 @@ class GraphNodeSpec:
         _require(self.cm_scheduler in CM_SCHEDULERS, f"{path}.cm_scheduler",
                  f"unknown scheduler {self.cm_scheduler!r}; choose from {', '.join(CM_SCHEDULERS)}")
 
-    def _key(self) -> tuple:
-        return (self.name, self.kind, self.addr, _kv(self.costs), _kv(self.cm),
-                self.cm_controller, self.cm_scheduler)
-
     def to_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
 
@@ -506,9 +462,9 @@ class GraphLinkSpec:
             _check_number(self.reverse_loss_rate, f"{path}.reverse_loss_rate",
                           minimum=0.0, maximum=1.0)
         if self.queue_limit is not None:
-            _check_number(self.queue_limit, f"{path}.queue_limit", minimum=1)
+            _check_integer(self.queue_limit, f"{path}.queue_limit", minimum=1)
         if self.ecn_threshold is not None:
-            _check_number(self.ecn_threshold, f"{path}.ecn_threshold", minimum=1)
+            _check_integer(self.ecn_threshold, f"{path}.ecn_threshold", minimum=1)
         _require(isinstance(self.seed_offset, int), f"{path}.seed_offset", "must be an integer")
         if self.loss is not None:
             _check_loss_block(self.loss, f"{path}.loss")
@@ -522,12 +478,6 @@ class GraphLinkSpec:
             _check_aqm_block(self.aqm, f"{path}.aqm")
             _require(self.ecn_threshold is None, f"{path}.ecn_threshold",
                      "must stay unset when an aqm is configured (the aqm owns marking)")
-
-    def _key(self) -> tuple:
-        return (self.a, self.b, _kv(self.rate_bps), _kv(self.delay),
-                _kv(self.queue_limit), _kv(self.loss_rate), _kv(self.reverse_loss_rate),
-                _kv(self.ecn_threshold), _kv(self.seed_offset),
-                _block_key(self.loss), _block_key(self.aqm))
 
     def to_dict(self) -> Dict[str, Any]:
         payload = dataclasses.asdict(self)
@@ -562,9 +512,6 @@ class RerouteSpec:
         _require(pair in link_pairs, path,
                  f"no declared link between {self.a!r} and {self.b!r}; reroutes "
                  "change the cost of an existing link, they do not create one")
-
-    def _key(self) -> tuple:
-        return (_kv(self.time), self.a, self.b, _kv(self.delay))
 
     def to_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
@@ -674,11 +621,6 @@ class GraphSpec:
                      "the tie-break for same-instant changes)")
             last_time = reroute.time
 
-    def _key(self) -> tuple:
-        return (tuple(node._key() for node in self.nodes),
-                tuple(link._key() for link in self.links),
-                tuple(reroute._key() for reroute in self.reroutes))
-
     def to_dict(self) -> Dict[str, Any]:
         payload = {
             "nodes": [node.to_dict() for node in self.nodes],
@@ -765,16 +707,6 @@ class WorkloadSpec:
         self._normalized_params = normalized
         return normalized
 
-    def _key(self) -> tuple:
-        # The registered class object joins the key so re-registering a
-        # different generator under the same kind can never serve stale
-        # cached validations (mirrors AppSpec._key).
-        from ..workloads import WORKLOADS
-
-        return (self.kind, WORKLOADS.get(self.kind), self.host, self.peer, self.label,
-                _kv(self.start), _kv(self.stop), _kv(self.seed_offset),
-                tuple(sorted((name, _kv(value)) for name, value in self.params.items())))
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "kind": self.kind,
@@ -843,15 +775,6 @@ class AppSpec:
         self._normalized_params = normalized
         return normalized
 
-    def _key(self) -> tuple:
-        # The registered class object joins the key so re-registering a
-        # different application under the same name can never serve stale
-        # cached validations (mirrors _PARAMS_CACHE in applications.py).
-        from .applications import APPLICATIONS
-
-        return (self.app, APPLICATIONS.get(self.app), self.host, self.peer, self.label,
-                tuple(sorted((name, _kv(value)) for name, value in self.params.items())))
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "app": self.app,
@@ -880,9 +803,6 @@ class StopSpec:
         _check_number(self.until, f"{path}.until", minimum=1e-9)
         _check_number(self.check_interval, f"{path}.check_interval", minimum=1e-9)
         _require(isinstance(self.when_apps_done, bool), f"{path}.when_apps_done", "must be a boolean")
-
-    def _key(self) -> tuple:
-        return (_kv(self.until), _kv(self.when_apps_done), _kv(self.check_interval))
 
     def to_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
@@ -940,10 +860,6 @@ class TelemetrySpec:
                  f"unknown event recorder {self.event_recorder!r}; "
                  f"choose from {', '.join(TELEMETRY_EVENT_RECORDERS)}")
 
-    def _key(self) -> tuple:
-        return (_kv(self.sample_interval), self.samplers, self.events,
-                _kv(self.max_samples), _kv(self.ring_capacity), self.event_recorder)
-
     def to_dict(self) -> Dict[str, Any]:
         payload = dataclasses.asdict(self)
         payload["samplers"] = list(self.samplers)
@@ -969,9 +885,6 @@ class EngineSpec:
         _require(isinstance(self.shards, int) and not isinstance(self.shards, bool)
                  and self.shards >= 1,
                  f"{path}.shards", f"must be an integer >= 1, got {self.shards!r}")
-
-    def _key(self) -> tuple:
-        return (_kv(self.shards),)
 
     def to_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
@@ -1023,14 +936,6 @@ class ScenarioSpec:
     metrics: Tuple[str, ...] = ("apps",)
     seed: int = 0
 
-    #: Content-keyed memo of successful validations.  Two specs with equal
-    #: keys pass or fail identically (the key captures every validated
-    #: field, with bools disambiguated from numbers), so per-trial re-runs
-    #: of ``validate`` collapse to one dict probe; the stored value is the
-    #: defaults-applied params of each app, re-attached on a hit.
-    _VALIDATION_CACHE: ClassVar[Dict[tuple, Tuple[tuple, tuple]]] = {}
-    _VALIDATION_CACHE_MAX: ClassVar[int] = 512
-
     def __post_init__(self) -> None:
         self.metrics = tuple(self.metrics)
 
@@ -1043,49 +948,8 @@ class ScenarioSpec:
             return self.graph.host_names()
         return [host.name for host in self.hosts]
 
-    def _key(self) -> tuple:
-        # Every validated field must appear here: the validation memo serves
-        # cached results for equal keys, so a field the key omits would let
-        # two different specs collide (the workload/graph regression test in
-        # tests/test_scenario_spec.py guards exactly that).
-        dumbbell = self.dumbbell
-        graph = self.graph
-        telemetry = self.telemetry
-        engine = self.engine
-        return (self.name, self.description,
-                tuple(host._key() for host in self.hosts),
-                tuple(link._key() for link in self.links),
-                dumbbell._key() if dumbbell is not None else None,
-                graph._key() if graph is not None else None,
-                tuple(app._key() for app in self.apps),
-                tuple(workload._key() for workload in self.workloads),
-                self.stop._key(),
-                telemetry._key() if telemetry is not None else None,
-                engine._key() if engine is not None else None,
-                self.metrics, _kv(self.seed))
-
     def validate(self) -> "ScenarioSpec":
-        """Validate the whole tree eagerly; returns ``self`` for chaining.
-
-        Successful validations are memoized by content (see
-        ``_VALIDATION_CACHE``); an equal spec seen before skips straight to
-        re-attaching the cached defaults-applied app params.
-        """
-        cache = ScenarioSpec._VALIDATION_CACHE
-        try:
-            key = self._key()
-        except TypeError:
-            # Unhashable garbage in some field; the full walk will name it.
-            key = None
-        if key is not None:
-            cached = cache.get(key)
-            if cached is not None:
-                app_params, workload_params = cached
-                for app, params in zip(self.apps, app_params):
-                    app._normalized_params = dict(params)
-                for workload, params in zip(self.workloads, workload_params):
-                    workload._normalized_params = dict(params)
-                return self
+        """Validate the whole tree eagerly; returns ``self`` for chaining."""
         _require(isinstance(self.name, str) and bool(self.name), "name",
                  "scenario name must be a non-empty string")
         _require(isinstance(self.seed, int), "seed", "must be an integer")
@@ -1148,13 +1012,6 @@ class ScenarioSpec:
         for metric in self.metrics:
             _require(metric in METRIC_GROUPS, "metrics",
                      f"unknown metric group {metric!r}; choose from {', '.join(METRIC_GROUPS)}")
-        if key is not None:
-            if len(cache) >= ScenarioSpec._VALIDATION_CACHE_MAX:
-                cache.clear()
-            cache[key] = (
-                tuple(dict(app._normalized_params) for app in self.apps),
-                tuple(dict(workload._normalized_params) for workload in self.workloads),
-            )
         return self
 
     def seal(self) -> "ScenarioSpec":

@@ -3,8 +3,8 @@
 Mirrors :mod:`repro.scenario.applications`: a generator declares a typed
 ``PARAMS`` schema (reusing :class:`~repro.scenario.applications.Param`),
 registers under a kind name, and the spec validator / builder / CLI all
-resolve it from here.  The schema walk and its memo are shared with the
-application registry so both layers reject bad parameters with identical,
+resolve it from here.  The schema walk is shared with the application
+registry so both layers reject bad parameters with identical,
 path-qualified messages.
 """
 
@@ -13,10 +13,9 @@ from __future__ import annotations
 import random
 from typing import Any, ClassVar, Dict, List, Optional, Tuple, Type
 
-# Param and the memoized schema walk are deliberately shared with the
-# application registry: one validation dialect for both "apps" and
-# "workloads" blocks, one memo implementation to fix in one place.
-from ..scenario.applications import Param, validate_params_cached
+# Param and the schema walk are deliberately shared with the application
+# registry: one validation dialect for both "apps" and "workloads" blocks.
+from ..scenario.applications import Param, validate_schema_params
 from ..scenario.spec import SpecError, WorkloadSpec
 
 __all__ = [
@@ -28,13 +27,6 @@ __all__ = [
     "describe_workloads",
     "validate_workload_params",
 ]
-
-#: Memo of successful schema walks, keyed by (workload class, frozen params);
-#: the class object in the key protects against re-registration serving
-#: stale defaults (same contract as applications._PARAMS_CACHE).
-_PARAMS_CACHE: Dict[tuple, Dict[str, Any]] = {}
-_PARAMS_CACHE_MAX = 1024
-
 
 class Workload:
     """Base class every registered stochastic traffic generator implements.
@@ -194,8 +186,7 @@ def known_workloads() -> List[str]:
 def validate_workload_params(kind: str, params: Dict[str, Any],
                              path: str = "params") -> Dict[str, Any]:
     """Validate ``params`` against the workload's schema; return defaults-applied dict."""
-    return validate_params_cached(get_workload(kind), kind, params, path,
-                                  _PARAMS_CACHE, _PARAMS_CACHE_MAX)
+    return validate_schema_params(get_workload(kind), kind, params, path)
 
 
 def describe_workloads() -> List[Tuple[str, str, List[str]]]:

@@ -1,10 +1,9 @@
-"""Unit tests for packets, links and traces."""
+"""Unit tests for packets, links and rate bins."""
 
 import pytest
 
-from repro.netsim import (GilbertElliottLoss, Link, Packet, PacketTrace,
-                          RateTracker, RedQueue, Simulator, make_aqm,
-                          make_loss_model)
+from repro.netsim import (GilbertElliottLoss, Link, Packet, RedQueue, Simulator,
+                          make_aqm, make_loss_model)
 from repro.netsim.packet import (
     DEFAULT_MSS,
     DEFAULT_MTU,
@@ -14,6 +13,7 @@ from repro.netsim.packet import (
     TCP_HEADER_BYTES,
     UDP_HEADER_BYTES,
 )
+from repro.telemetry import FixedBinAccumulator
 
 
 def make_packet(payload=1000, protocol=PROTO_UDP, **kwargs):
@@ -424,37 +424,20 @@ class TestRedQueue:
             RedQueue(**kwargs)
 
 
-class TestTrace:
-    def test_packet_trace_filters_by_kind(self):
-        trace = PacketTrace()
-        trace.log(0.0, "send", "a", "b", 100)
-        trace.log(0.1, "recv", "a", "b", 100)
-        trace.log(0.2, "send", "a", "b", 50)
-        assert len(trace) == 3
-        assert len(trace.events("send")) == 2
-        assert trace.bytes_between(0.0, 0.3, kind="recv") == 100
-
-    def test_rate_tracker_series(self):
-        tracker = RateTracker(bin_width=1.0)
-        tracker.record(0.2, 1000)
-        tracker.record(0.7, 1000)
-        tracker.record(2.5, 4000)
-        series = tracker.series()
+class TestFixedBins:
+    def test_bin_series(self):
+        bins = FixedBinAccumulator(bin_width=1.0)
+        bins.add(0.2, 1000)
+        bins.add(0.7, 1000)
+        bins.add(2.5, 4000)
+        series = bins.bin_series()
         assert series[0] == (0.0, 2000.0)
         assert series[1] == (1.0, 0.0)  # empty bins are reported as zero
         assert series[2] == (2.0, 4000.0)
 
-    def test_rate_tracker_mean(self):
-        tracker = RateTracker(bin_width=1.0)
-        tracker.record(0.0, 100)
-        tracker.record(1.0, 300)
-        assert tracker.mean_rate() == pytest.approx(200.0)
+    def test_bin_series_empty(self):
+        assert FixedBinAccumulator().bin_series() == []
 
-    def test_rate_tracker_empty(self):
-        tracker = RateTracker()
-        assert tracker.series() == []
-        assert tracker.mean_rate() == 0.0
-
-    def test_rate_tracker_invalid_bin(self):
+    def test_invalid_bin_width(self):
         with pytest.raises(ValueError):
-            RateTracker(bin_width=0)
+            FixedBinAccumulator(bin_width=0)

@@ -16,7 +16,8 @@ from repro.core import (
     CM_TRANSIENT_CONGESTION,
 )
 from repro.core.constants import MAX_RTO_SECONDS, MIN_RTO_SECONDS
-from repro.netsim import Link, Packet, RateTracker, Simulator
+from repro.netsim import Link, Packet, Simulator
+from repro.telemetry import FixedBinAccumulator
 
 MTU = 1500
 
@@ -154,14 +155,13 @@ class TestLinkProperties:
                               st.integers(min_value=0, max_value=10_000)),
                     max_size=100))
     @settings(deadline=None)
-    def test_rate_tracker_conserves_bytes(self, observations):
-        tracker = RateTracker(bin_width=0.5)
+    def test_fixed_bins_conserve_bytes(self, observations):
+        bins = FixedBinAccumulator(bin_width=0.5)
         total = 0
         for time, nbytes in observations:
-            tracker.record(time, nbytes)
+            bins.add(time, nbytes)
             total += nbytes
-        series = tracker.series()
-        assert sum(rate * tracker.bin_width for _t, rate in series) == total
+        assert sum(value for _t, value in bins.bin_series()) == total
 
 
 class TestMetricsProperties:

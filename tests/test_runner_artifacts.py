@@ -84,9 +84,6 @@ class TestRunnerMain:
         meta2 = json.loads((out / "_quick.meta.json").read_text())
         assert meta2["trials_from_cache"] == 2
 
-    def test_legacy_mapping_still_lists_all_experiments(self):
-        assert "figure3" in runner.EXPERIMENTS and "aggressiveness" in runner.EXPERIMENTS
-
 
 class TestArtifacts:
     def test_result_json_round_trip(self):

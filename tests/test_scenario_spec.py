@@ -340,38 +340,38 @@ class TestRoundTrip:
         assert clone.links[0].rate_schedule == ((1.0, 2e6), (2.0, 3e6))
 
 
-class TestValidationCacheSoundness:
-    """The content-keyed validation memo must never change an outcome."""
+class TestValidationOutcomes:
+    """A validation outcome depends only on the spec, never on earlier calls.
 
-    def test_cache_hit_skips_rewalk_but_same_result(self):
+    Python's cross-type equalities (``True == 1``, ``1 == 1.0``) must not
+    let a value the checks reject pass after an equal, valid one.
+    """
+
+    def test_equal_specs_validate_alike(self):
         a = minimal_spec()
         b = minimal_spec()
         assert a.validate() is a
-        assert b.validate() is b  # served from the cache, equally valid
+        assert b.validate() is b
 
-    def test_int_float_confusion_never_shares_a_slot(self):
-        # seed=1 is valid; seed=1.0 must still raise even though 1 == 1.0
-        # would otherwise collide in the cache key.
+    def test_float_seed_rejected_after_int_seed(self):
         minimal_spec(seed=1).validate()
         with pytest.raises(SpecError, match="seed"):
             minimal_spec(seed=1.0).validate()
 
-    def test_bool_int_confusion_never_shares_a_slot(self):
-        # stop.until=1 is a valid number; True == 1 but bools are rejected
-        # by _check_number and must not reuse the cached success.
+    def test_bool_until_rejected_after_int_until(self):
+        # stop.until=1 is a valid number; True == 1 but numbers reject bools.
         minimal_spec(stop=StopSpec(until=1)).validate()
         with pytest.raises(SpecError, match="until"):
             minimal_spec(stop=StopSpec(until=True)).validate()
 
-    def test_params_cache_keeps_int_param_strict(self):
+    def test_int_param_rejects_float_after_int(self):
         validate_params("tcp_listener", {"port": 5001})
         with pytest.raises(SpecError, match="port"):
             validate_params("tcp_listener", {"port": 5001.0})
 
-    def test_specs_differing_only_in_workload_params_never_collide(self):
-        # Regression: the memo key predates the workloads block; if the key
-        # omitted it, validating a good spec would let an otherwise-equal
-        # spec with *invalid* workload params sail through on the cache hit.
+    def test_workload_params_validated_per_spec(self):
+        # Validating a good spec must not let an otherwise-equal spec with
+        # invalid workload params through.
         from repro.scenario import WorkloadSpec
 
         def spec_with(rate):
@@ -386,12 +386,12 @@ class TestValidationCacheSoundness:
         spec.validate()
         assert spec.workloads[0].normalized_params()["rate"] == 3.5
 
-    def test_specs_differing_only_in_graph_never_collide(self):
+    def test_graph_validated_per_spec(self):
         from repro.scenario import GraphLinkSpec, GraphNodeSpec, GraphSpec
 
         def graph_spec(delay):
             return ScenarioSpec(
-                name="memo_graph",
+                name="two_node_graph",
                 graph=GraphSpec(
                     nodes=[GraphNodeSpec(name="a"), GraphNodeSpec(name="b")],
                     links=[GraphLinkSpec(a="a", b="b", rate_bps=1e6, delay=delay)],
@@ -403,30 +403,30 @@ class TestValidationCacheSoundness:
         with pytest.raises(SpecError, match="delay"):
             graph_spec(-0.5).validate()
 
-    def test_reregistered_application_invalidates_cached_params(self):
+    def test_reregistered_application_defaults_apply(self):
         from repro.scenario.applications import APPLICATIONS, Param, register_application
         from repro.scenario.applications import Application
 
         class FakeApp(Application):
-            name = "cache_fake"
+            name = "reregistered_fake"
             PARAMS = {"n": Param(int, default=1)}
 
         register_application(FakeApp)
         try:
-            spec = minimal_spec(apps=[AppSpec(app="cache_fake", host="a")])
+            spec = minimal_spec(apps=[AppSpec(app="reregistered_fake", host="a")])
             spec.validate()
             assert spec.apps[0].normalized_params() == {"n": 1}
 
             class FakeApp2(Application):
-                name = "cache_fake"
+                name = "reregistered_fake"
                 PARAMS = {"n": Param(int, default=99)}
 
             register_application(FakeApp2)
-            spec2 = minimal_spec(apps=[AppSpec(app="cache_fake", host="a")])
+            spec2 = minimal_spec(apps=[AppSpec(app="reregistered_fake", host="a")])
             spec2.validate()
             assert spec2.apps[0].normalized_params() == {"n": 99}
         finally:
-            APPLICATIONS.pop("cache_fake", None)
+            APPLICATIONS.pop("reregistered_fake", None)
 
     def test_sealed_spec_rejects_mutation_and_revalidates_free(self):
         from repro.experiments.topology import dummynet_pair_spec
@@ -440,6 +440,79 @@ class TestValidationCacheSoundness:
         # The factory hands back the same sealed instance per parameter set.
         assert dummynet_pair_spec(loss_rate=0.01) is spec
         assert dummynet_pair_spec(loss_rate=0.02) is not spec
+
+    def test_pair_spec_cold_and_warm_calls_agree(self, monkeypatch):
+        # The sealed pair-spec memo must key on argument types too: 1 == True
+        # and 50 == 50.0, but a call's outcome must not depend on whether an
+        # equal-comparing call came first.
+        from repro.experiments import topology
+
+        def outcome(kwargs):
+            try:
+                spec = topology.dummynet_pair_spec(0.0, **kwargs)
+            except SpecError as exc:
+                return ("error", exc.path)
+            link = spec.links[0]
+            return ("ok", type(link.queue_limit), type(link.rate_bps), spec.hosts[0].costs)
+
+        calls = ({"with_costs": 1}, {"with_costs": True}, {"queue_limit": 50.0},
+                 {"queue_limit": 50}, {}, {"rate_bps": 10_000_000}, {"rate_bps": 10e6})
+        monkeypatch.setattr(topology, "_PAIR_SPEC_CACHE", {})
+        cold = []
+        for kwargs in calls:
+            topology._PAIR_SPEC_CACHE.clear()
+            cold.append(outcome(kwargs))
+        assert cold[0] == ("error", "hosts[0].costs")
+        assert cold[2] == ("error", "links[0].queue_limit")
+        assert cold[5][2] is int and cold[6][2] is float
+        for order in (range(len(calls)), reversed(range(len(calls)))):
+            topology._PAIR_SPEC_CACHE.clear()
+            for index in order:
+                assert outcome(calls[index]) == cold[index], calls[index]
+
+
+class TestIntegerQueueFields:
+    """``queue_limit`` and ``ecn_threshold`` count packets: integers only."""
+
+    @pytest.mark.parametrize("field_name", ["queue_limit", "ecn_threshold"])
+    @pytest.mark.parametrize("value", [2.5, 20.0, True])
+    def test_link_spec_rejects_non_integers(self, field_name, value):
+        link = LinkSpec(a="a", b="b", rate_bps=1e6, delay=0.01, **{field_name: value})
+        with pytest.raises(SpecError, match=rf"links\[0\]\.{field_name}"):
+            minimal_spec(links=[link]).validate()
+
+    @pytest.mark.parametrize("field_name", ["queue_limit", "ecn_threshold"])
+    @pytest.mark.parametrize("value", [2.5, 20.0, True])
+    def test_dumbbell_spec_rejects_non_integers(self, field_name, value):
+        spec = ScenarioSpec(
+            name="dumbbell_ints",
+            dumbbell=DumbbellSpec(n_pairs=1, bottleneck_bps=1e6, bottleneck_delay=0.01,
+                                  **{field_name: value}),
+            stop=StopSpec(until=1.0),
+        )
+        with pytest.raises(SpecError, match=rf"dumbbell\.{field_name}"):
+            spec.validate()
+
+    @pytest.mark.parametrize("field_name", ["queue_limit", "ecn_threshold"])
+    @pytest.mark.parametrize("value", [2.5, 20.0, True])
+    def test_graph_link_spec_rejects_non_integers(self, field_name, value):
+        from repro.scenario import GraphLinkSpec, GraphNodeSpec, GraphSpec
+
+        spec = ScenarioSpec(
+            name="graph_ints",
+            graph=GraphSpec(
+                nodes=[GraphNodeSpec(name="a"), GraphNodeSpec(name="b")],
+                links=[GraphLinkSpec(a="a", b="b", rate_bps=1e6, delay=0.01,
+                                     **{field_name: value})],
+            ),
+            stop=StopSpec(until=1.0),
+        )
+        with pytest.raises(SpecError, match=rf"graph\.links\[0\]\.{field_name}"):
+            spec.validate()
+
+    def test_integer_values_still_accepted(self):
+        link = LinkSpec(a="a", b="b", rate_bps=1e6, delay=0.01, queue_limit=30, ecn_threshold=5)
+        minimal_spec(links=[link]).validate()
 
 
 def test_registry_covers_all_app_layers():

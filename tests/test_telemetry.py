@@ -14,7 +14,8 @@ import json
 
 import pytest
 
-from repro.netsim import Link, Packet, PacketTrace, RateTracker, Simulator
+from repro.apps.layered import LayeredStreamingServer
+from repro.netsim import Link, Packet, Simulator
 from repro.netsim.packet import IP_HEADER_BYTES, UDP_HEADER_BYTES
 
 
@@ -207,29 +208,17 @@ class TestSampler:
             PeriodicSampler(Simulator(), interval=0.0)
 
 
-class TestTraceFacades:
-    def test_packet_trace_is_bounded_with_drop_counter(self):
-        trace = PacketTrace(capacity=4)
-        for i in range(10):
-            trace.log(float(i), "send", "a", "b", 100)
-        assert len(trace) == 4
-        assert trace.dropped_records == 6
-        assert [r.time for r in trace.records] == [6.0, 7.0, 8.0, 9.0]
-        assert trace.bytes_between(6.0, 9.0, kind="send") == 300
+class TestLayeredRateSeries:
+    def test_transmission_series_is_zero_filled_rate(self, cm_pair):
+        server = LayeredStreamingServer(cm_pair.sender, cm_pair.receiver.addr, 9001, rate_bin=0.5)
+        server.tx_rate.add(0.1, 500)
+        server.tx_rate.add(0.4, 500)
+        server.tx_rate.add(1.6, 250)
+        assert server.transmission_series() == [(0.0, 2000.0), (0.5, 0.0), (1.0, 0.0), (1.5, 500.0)]
 
-    def test_rate_tracker_series_matches_legacy_semantics(self):
-        tracker = RateTracker(bin_width=0.5)
-        tracker.record(0.1, 500)
-        tracker.record(0.4, 500)
-        tracker.record(1.6, 250)
-        assert tracker.series() == [(0.0, 2000.0), (0.5, 0.0), (1.0, 0.0), (1.5, 500.0)]
-        assert tracker.mean_rate() == pytest.approx(625.0)
-
-    def test_rate_tracker_is_a_bounded_recorder(self):
-        tracker = RateTracker(bin_width=0.5, max_bins=8)
-        for i in range(100):
-            tracker.record(i * 0.5, 100)
-        assert tracker.bins_used == 8
-        assert tracker.clipped == 92
+    def test_transmission_recorder_is_bounded(self, cm_pair):
+        server = LayeredStreamingServer(cm_pair.sender, cm_pair.receiver.addr, 9001, rate_bin=0.5)
+        assert server.tx_rate.bin_width == 0.5
+        assert server.tx_rate.max_bins == 65_536
         with pytest.raises(ValueError):
-            RateTracker(bin_width=0)
+            LayeredStreamingServer(cm_pair.sender, cm_pair.receiver.addr, 9002, rate_bin=0)

@@ -298,32 +298,32 @@ class TestRegistry:
         with pytest.raises(SpecError, match="max_bytes .* min_bytes"):
             build(spec, seed=1)
 
-    def test_validate_params_cache_serves_copies(self):
+    def test_validate_params_returns_fresh_dicts(self):
         first = validate_workload_params("web_sessions", {"rate": 2.0})
-        first["rate"] = 99.0  # mutating the returned dict must not poison the memo
+        first["rate"] = 99.0  # mutating the returned dict must not leak into later calls
         second = validate_workload_params("web_sessions", {"rate": 2.0})
         assert second["rate"] == 2.0
 
-    def test_reregistered_workload_invalidates_cached_params(self):
+    def test_reregistered_workload_defaults_apply(self):
         from repro.scenario.applications import Param
         from repro.workloads import WORKLOADS, Workload, register_workload
 
         class FakeLoad(Workload):
-            name = "cache_fake_wl"
+            name = "reregistered_fake_wl"
             PARAMS = {"n": Param(int, default=1)}
 
         register_workload(FakeLoad)
         try:
-            assert validate_workload_params("cache_fake_wl", {}) == {"n": 1}
+            assert validate_workload_params("reregistered_fake_wl", {}) == {"n": 1}
 
             class FakeLoad2(Workload):
-                name = "cache_fake_wl"
+                name = "reregistered_fake_wl"
                 PARAMS = {"n": Param(int, default=99)}
 
             register_workload(FakeLoad2)
-            assert validate_workload_params("cache_fake_wl", {}) == {"n": 99}
+            assert validate_workload_params("reregistered_fake_wl", {}) == {"n": 99}
         finally:
-            WORKLOADS.pop("cache_fake_wl", None)
+            WORKLOADS.pop("reregistered_fake_wl", None)
 
     def test_register_requires_a_name(self):
         from repro.workloads import Workload, register_workload
