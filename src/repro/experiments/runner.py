@@ -34,6 +34,7 @@ __all__ = ["DEFAULT_CACHE_DIR", "run_experiment", "main"]
 #: Default location of the content-addressed trial cache (relative to CWD).
 DEFAULT_CACHE_DIR = ".cm-trial-cache"
 
+
 def run_experiment(
     name: str,
     seeds: Optional[Sequence[int]] = None,

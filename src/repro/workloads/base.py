@@ -28,6 +28,7 @@ __all__ = [
     "validate_workload_params",
 ]
 
+
 class Workload:
     """Base class every registered stochastic traffic generator implements.
 
