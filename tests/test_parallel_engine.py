@@ -56,6 +56,15 @@ class TestShardedByteIdentity:
                   encoding="utf-8") as fh:
             assert produced == fh.read()
 
+    @pytest.mark.parametrize("shards", [2, 3])
+    def test_parking_lot_mix_matches_the_golden_bytes(self, shards):
+        # An odd shard count: 12 nodes split 4/4/4 instead of in halves.
+        produced = run_sharded(get_preset("parking_lot_mix"), seed=21,
+                               shards=shards).to_json()
+        with open(os.path.join(GOLDEN_DIR, "parking_lot_mix.seed21.json"),
+                  encoding="utf-8") as fh:
+            assert produced == fh.read()
+
     def test_engine_block_is_excluded_from_the_digest(self):
         plain = get_preset("mesh_macroflow_sharing")
         sharded = get_preset("mesh_macroflow_sharing")
