@@ -229,16 +229,16 @@ class ServiceApi:
         if "seeds" in payload:
             seeds = payload["seeds"]
             if (not isinstance(seeds, list) or not seeds
-                    or not all(isinstance(seed, int) for seed in seeds)):
+                    or not all(_is_int(seed) for seed in seeds)):
                 raise ApiError(400, "'seeds' must be a non-empty list of integers")
         else:
             seed = payload.get("seed")
-            if seed is not None and not isinstance(seed, int):
+            if seed is not None and not _is_int(seed):
                 raise ApiError(400, "'seed' must be an integer")
             seeds = [seed]
         trace = bool(payload.get("trace", False))
         shards = payload.get("shards")
-        if shards is not None and (not isinstance(shards, int) or shards < 1):
+        if shards is not None and (not _is_int(shards) or shards < 1):
             raise ApiError(400, "'shards' must be a positive integer")
         jobs = [self.manager.submit(spec, seed=seed, trace=trace, shards=shards)
                 for seed in seeds]
@@ -455,6 +455,11 @@ class ServiceApi:
 
 
 # ---------------------------------------------------------- snapshot shaping
+def _is_int(value: Any) -> bool:
+    """A JSON integer; ``true``/``false`` decode to bools, which are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _jsonable(value: Any) -> Any:
     if isinstance(value, tuple):
         return [_jsonable(item) for item in value]

@@ -369,6 +369,26 @@ class TestServiceApi:
         bad_json = api.dispatch("POST", "/v1/jobs", b"{nope")
         assert bad_json.status == 400
 
+    # JSON true/false decode to bools, and bool is an int subclass: each
+    # integer field must reject them instead of running seed 1 or shards=1.
+    def test_boolean_seed_is_400(self, api, manager):
+        response = submit(api, {"preset": "star_web_churn", "seed": True})
+        assert response.status == 400
+        assert "'seed'" in response.json()["error"]
+        assert manager.jobs() == []
+
+    def test_boolean_seeds_are_400(self, api, manager):
+        response = submit(api, {"preset": "star_web_churn", "seeds": [True, False]})
+        assert response.status == 400
+        assert "'seeds'" in response.json()["error"]
+        assert manager.jobs() == []
+
+    def test_boolean_shards_is_400(self, api, manager):
+        response = submit(api, {"preset": "star_web_churn", "shards": True})
+        assert response.status == 400
+        assert "'shards'" in response.json()["error"]
+        assert manager.jobs() == []
+
     def test_submit_seeds_fans_out(self, api, manager):
         response = submit(api, {"preset": "web_vat_mix", "seeds": [1, 2]})
         jobs = response.json()["jobs"]
