@@ -99,6 +99,13 @@ class GraphNet:
     #: The directed delay-weighted edge set routing was computed from —
     #: kept so mid-run reroutes can recompute the tables incrementally.
     edges: Dict[Tuple[str, str], float] = field(default_factory=dict)
+    #: Every host's address, including hosts simulated on other shards —
+    #: the route destinations (re)installed into the local nodes.
+    host_addrs: Dict[str, str] = field(default_factory=dict)
+    #: Shard builds only: global directed index of each link whose source
+    #: lives on another shard → the local destination's ingress sequencer,
+    #: where the coordinator injects that link's deliveries.
+    inbound: Dict[int, IngressSequencer] = field(default_factory=dict)
 
     def link(self, a: str, b: str) -> Link:
         """The directed link from node ``a`` to node ``b``."""
@@ -121,8 +128,7 @@ class GraphNet:
             if link is not None:
                 link.delay = delay
         self.next_hops = shortest_path_next_hops(self.edges)
-        host_addrs = {name: host.addr for name, host in self.hosts.items()}
-        install_routes(self.nodes, host_addrs, self.links, self.next_hops)
+        install_routes(self.nodes, self.host_addrs, self.links, self.next_hops)
 
 
 def install_routes(
@@ -154,6 +160,7 @@ def build_graph(
     links: Sequence[Mapping[str, Any]],
     seed: int = 0,
     host_costs_factory=None,
+    shard=None,
 ) -> GraphNet:
     """Wire an arbitrary named-node topology with static shortest-path routes.
 
@@ -178,80 +185,89 @@ def build_graph(
     host_costs_factory:
         Factory for per-host CPU ledgers (routers never get one — the
         paper only measures end-system CPU).
+    shard:
+        ``None`` wires the whole graph.  A
+        :class:`~repro.netsim.parallel.shard.ShardSlice` wires only the
+        nodes it owns and their outgoing links: a link into another shard
+        becomes a :class:`~repro.netsim.parallel.boundary.BoundaryLink`, a
+        link from another shard is recorded in ``GraphNet.inbound``, and
+        the routes come from the slice's precomputed ``next_hops``.
+        Addresses, seeds, ranks and link indices stay global.
     """
     net_nodes: Dict[str, Host] = {}
     net_hosts: Dict[str, Host] = {}
-    host_index = 0
+    host_addrs: Dict[str, str] = {}
     for spec in nodes:
         name = spec["name"]
         kind = spec.get("kind", "host")
         addr = spec.get("addr", "")
+        if kind == "host":
+            addr = addr or f"10.{len(host_addrs) + 1}.0.1"
+            host_addrs[name] = addr
+        if shard is not None and not shard.is_local(name):
+            continue
         if kind == "router":
             net_nodes[name] = Router(sim, name, addr)
         else:
-            if not addr:
-                addr = f"10.{host_index + 1}.0.1"
             costs = None
             if spec.get("costs", True) and host_costs_factory is not None:
                 costs = host_costs_factory()
             host = Host(sim, name, addr, costs=costs)
             net_nodes[name] = host
             net_hosts[name] = host
-        if kind == "host":
-            host_index += 1
 
-    net = GraphNet(nodes=net_nodes, hosts=net_hosts)
+    net = GraphNet(nodes=net_nodes, hosts=net_hosts, host_addrs=host_addrs)
     # Deliveries go through per-node sequencers so that same-timestamp
     # arrivals are processed in content-defined (link, seq) order — the
     # order a sharded run reproduces exactly (see repro.netsim.ingress).
     # Drain ranks are node *declaration* indices; link ports are keyed by
-    # global directed link index (2*i forward, 2*i+1 reverse), matching the
-    # shard build's numbering.
+    # global directed link index (2*i forward, 2*i+1 reverse).
     for rank, spec in enumerate(nodes):
         name = spec["name"]
-        net.ingress[name] = IngressSequencer(sim, rank, net_nodes[name].ip.receive)
-    edges: Dict[Tuple[str, str], float] = {}
+        if name in net_nodes:
+            net.ingress[name] = IngressSequencer(sim, rank, net_nodes[name].ip.receive)
     for index, spec in enumerate(links):
         a, b = spec["a"], spec["b"]
         delay = float(spec["delay"])
         loss = float(spec.get("loss_rate", 0.0))
         reverse_loss = spec.get("reverse_loss_rate")
         offset = spec.get("seed_offset", 0) or 2 * index
-        # Mapping-valued loss/aqm configs are normalized per Link, so each
-        # direction always owns a fresh (stateful) model instance.
-        forward = Link(
-            sim,
-            rate_bps=spec["rate_bps"],
-            delay=delay,
-            queue_limit=spec.get("queue_limit", 100),
-            loss_rate=loss,
-            ecn_threshold=spec.get("ecn_threshold"),
-            seed=seed + offset,
-            loss_model=spec.get("loss"),
-            aqm=spec.get("aqm"),
-            name=f"{a}->{b}",
+        directions = (
+            (a, b, loss),
+            (b, a, loss if reverse_loss is None else float(reverse_loss)),
         )
-        reverse = Link(
-            sim,
-            rate_bps=spec["rate_bps"],
-            delay=delay,
-            queue_limit=spec.get("queue_limit", 100),
-            loss_rate=loss if reverse_loss is None else float(reverse_loss),
-            ecn_threshold=spec.get("ecn_threshold"),
-            seed=seed + offset + 1,
-            loss_model=spec.get("loss"),
-            aqm=spec.get("aqm"),
-            name=f"{b}->{a}",
-        )
-        forward.attach(net.ingress[b].port(2 * index))
-        reverse.attach(net.ingress[a].port(2 * index + 1))
-        net.links[(a, b)] = forward
-        net.links[(b, a)] = reverse
-        edges[(a, b)] = delay
-        edges[(b, a)] = delay
+        for direction, (src, dst, loss_rate) in enumerate(directions):
+            link_index = 2 * index + direction
+            net.edges[(src, dst)] = delay
+            if src not in net_nodes:
+                if dst in net_nodes:
+                    net.inbound[link_index] = net.ingress[dst]
+                continue
+            # Mapping-valued loss/aqm configs are normalized per Link, so
+            # each direction always owns a fresh (stateful) model instance.
+            kwargs = dict(
+                rate_bps=spec["rate_bps"],
+                delay=delay,
+                queue_limit=spec.get("queue_limit", 100),
+                loss_rate=loss_rate,
+                ecn_threshold=spec.get("ecn_threshold"),
+                seed=seed + offset + direction,
+                loss_model=spec.get("loss"),
+                aqm=spec.get("aqm"),
+                name=f"{src}->{dst}",
+            )
+            if dst in net_nodes:
+                link = Link(sim, **kwargs)
+                link.attach(net.ingress[dst].port(link_index))
+            else:
+                from .parallel.boundary import BoundaryLink
 
-    net.edges = edges
-    net.next_hops = shortest_path_next_hops(edges)
-    host_addrs = {name: host.addr for name, host in net_hosts.items()}
+                link = BoundaryLink(sim, shard.outbox, link_index, **kwargs)
+            net.links[(src, dst)] = link
+
+    if shard is None:
+        net.next_hops = shortest_path_next_hops(net.edges)
+    else:
+        net.next_hops = shard.next_hops
     install_routes(net_nodes, host_addrs, net.links, net.next_hops)
     return net

@@ -33,9 +33,13 @@ Why this is safe and exact:
 * Per-link arrival order is FIFO (link serialisation is a chain), so the
   per-link counter assigns the same seq to the same packet in every mode.
 
-Dumbbell/channel builds do not use sequencers — their topologies are fixed
-two-host affairs with no sharded counterpart, and their goldens predate
-this module.
+Dumbbell/channel builds do not use sequencers.  They have no sharded
+counterpart, and sequencing would change their result bytes: a sequenced
+delivery runs in the late lane, after every normal event at the same
+instant, where a channel delivery runs in its own scheduled turn.  Routing
+``Channel`` and ``build_dumbbell`` links through sequencers was measured to
+keep all 14 preset goldens but to change the ``aggressiveness`` and
+``figure6`` smoke-experiment digests.
 """
 
 from __future__ import annotations

@@ -104,6 +104,10 @@ def _affinity_pairs(spec) -> List[Tuple[str, str]]:
 def partition_graph(spec, shards: int) -> Partition:
     """Partition ``spec.graph`` into at most ``shards`` shards.
 
+    ``spec`` must have a graph; :meth:`ScenarioSpec.shard_count
+    <repro.scenario.spec.ScenarioSpec.shard_count>` is the check callers run
+    first.
+
     Three deterministic phases:
 
     1. **Affinity pre-unions** — colocation pairs from :func:`_affinity_pairs`
@@ -125,8 +129,6 @@ def partition_graph(spec, shards: int) -> Partition:
     from ...scenario.spec import SpecError
 
     graph = spec.graph
-    if graph is None:
-        raise SpecError("engine.shards", "sharded execution needs a graph topology")
     names = [node.name for node in graph.nodes]
     index_of = {name: i for i, name in enumerate(names)}
     n = len(names)

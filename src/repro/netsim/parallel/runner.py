@@ -43,22 +43,23 @@ def _worker_main(conn, spec_payload, run_seed, shard_index, part_fields,
     * build → ``("ready", done_states, idle)``
     * ``("advance", until, want_done, inbox)`` →
       ``("ok", outbox, idle, done_states_or_None, now)``
-    * ``("finish", final_time)`` → ``("result", sections)`` then exit
+    * ``("finish", final_time)`` → ``("result", ScenarioResult)`` then exit
     * any exception → ``("spec_error", path, str)`` / ``("error", traceback)``
     """
+    from ...scenario import builder
+    from ...scenario.runner import _collect
     from ...scenario.spec import ScenarioSpec, SpecError
+    from .boundary import BoundaryLink
     from .partition import Partition
-    from .shard import build_shard, collect_shard
+    from .shard import ShardSlice
     from .wire import decode_packet
 
     try:
         spec = ScenarioSpec.from_dict(spec_payload)
-        spec.validate()
-        part = Partition(*part_fields)
-        shard = build_shard(spec, run_seed, part, shard_index, next_hops,
-                            trace_path=trace_path)
-        scenario = shard.scenario
-        sim = shard.sim
+        shard = ShardSlice(Partition(*part_fields), shard_index, next_hops)
+        scenario = builder.build(spec, run_seed, trace_path, shard=shard)
+        sim = scenario.sim
+        inbound = scenario.graph_net.inbound
         if scenario.telemetry is not None:
             scenario.telemetry.start()
         for app in scenario.apps:
@@ -67,10 +68,10 @@ def _worker_main(conn, spec_payload, run_seed, shard_index, part_fields,
             workload.start()
         want_done_states = spec.stop.when_apps_done
 
-        def done_states() -> Optional[List[Tuple[int, Any]]]:
+        def done_states() -> Optional[List[Any]]:
             if not want_done_states:
                 return None
-            return [(index, app.done()) for index, app in shard.apps]
+            return [app.done() for app in scenario.apps]
 
         conn.send(("ready", done_states(), sim.idle_except_control()))
         while True:
@@ -82,7 +83,7 @@ def _worker_main(conn, spec_payload, run_seed, shard_index, part_fields,
                     # Into the destination node's ingress sequencer, with
                     # the sender's per-link emission seq — exactly the
                     # (link, seq) key the local arrival would have carried.
-                    shard.receivers[link_index].inject(
+                    inbound[link_index].inject(
                         deliver_ts, link_index, seq, decode_packet(wire))
                 sim.run(until=until)
                 outbox = shard.outbox[:]
@@ -99,12 +100,13 @@ def _worker_main(conn, spec_payload, run_seed, shard_index, part_fields,
                     workload.stop()
                 for app in scenario.apps:
                     app.stop()
-                for link in shard.boundary_links:
-                    link.finalize(final_time)
-                sections = collect_shard(shard, spec, duration=final_time)
+                for link in scenario.graph_net.links.values():
+                    if isinstance(link, BoundaryLink):
+                        link.finalize(final_time)
+                result = _collect(scenario, duration=final_time)
                 if scenario.telemetry is not None:
                     scenario.telemetry.close()
-                conn.send(("result", sections))
+                conn.send(("result", result))
                 return
             else:  # pragma: no cover - protocol misuse
                 raise RuntimeError(f"unknown command {command!r}")
@@ -166,13 +168,22 @@ class _WorkerPool:
     def recv_all(self) -> List:
         return [self.recv(k) for k in range(self.count)]
 
-    def shutdown(self) -> None:
+    def shutdown(self, abort: bool = False) -> None:
+        """Close the pipes and reap the workers; ``abort`` kills them first.
+
+        Closing the pipes does not wake a worker blocked in ``recv``: every
+        forked worker inherited the coordinator's end of its own pipe.  So a
+        run that failed or was cancelled terminates its workers instead of
+        waiting out the join timeout.
+        """
         for pipe in self.pipes:
             try:
                 pipe.close()
             except OSError:  # pragma: no cover - teardown best effort
                 pass
         for process in self.processes:
+            if abort:
+                process.terminate()
             process.join(timeout=5.0)
             if process.is_alive():  # pragma: no cover - teardown best effort
                 process.terminate()
@@ -186,6 +197,33 @@ def _dest_shard_of_links(spec, part) -> Dict[int, int]:
         table[2 * index] = part.shard_of[link.b]
         table[2 * index + 1] = part.shard_of[link.a]
     return table
+
+
+def _section_owners(spec, part) -> Dict[str, List[int]]:
+    """Per result section: the owning shard of each entry, in global order.
+
+    A worker's ``_collect`` lists its own entries in declaration order, so
+    these sequences are all the merge needs to interleave them back into
+    the single-process order.  Links belong to the shard of their source
+    node (2*i forward, 2*i+1 reverse), hosts, apps and workloads to the
+    shard of their host.
+    """
+    shard_of = part.shard_of
+    graph = spec.graph
+    return {
+        "apps": [shard_of[app.host] for app in spec.apps],
+        "links": [shard_of[src] for link in graph.links for src in (link.a, link.b)],
+        "hosts": [shard_of[node.name] for node in graph.nodes if node.kind == "host"],
+        "workloads": [shard_of[workload.host] for workload in spec.workloads],
+    }
+
+
+def _interleave(per_shard: List[List], owners: List[int]) -> List:
+    """Merge per-shard entry lists into global order (see _section_owners)."""
+    if not any(per_shard):  # the section is switched off in spec.metrics
+        return []
+    streams = [iter(entries) for entries in per_shard]
+    return [next(streams[shard]) for shard in owners]
 
 
 def _merge_traces(trace_path: str, shard_paths: List[Optional[str]]) -> None:
@@ -223,30 +261,15 @@ def run_sharded(spec, seed: Optional[int] = None, *,
     runner when the request or the partition collapses to one shard.
     """
     from ...scenario.runner import ScenarioResult, run_streaming, spec_digest
-    from ...scenario.spec import SpecError
     from .partition import partition_graph
 
     spec.validate()
-    requested = shards if shards is not None else (
-        spec.engine.shards if spec.engine is not None else 1)
-    if requested <= 1 or spec.graph is None:
-        if requested > 1 and spec.graph is None:
-            raise SpecError(
-                "engine.shards",
-                "sharded execution needs a graph topology "
-                "(hosts/links and dumbbell scenarios run single-process)")
+    requested = spec.shard_count(shards)
+    part = partition_graph(spec, requested) if requested > 1 else None
+    if part is None or part.shards <= 1:
         # shards=1 keeps run_streaming from bouncing back here.
         return run_streaming(spec, seed, trace_path=trace_path,
                              progress_cb=progress_cb, shards=1)
-    part = partition_graph(spec, requested)
-    if part.shards <= 1:
-        return run_streaming(spec, seed, trace_path=trace_path,
-                             progress_cb=progress_cb, shards=1)
-    if spec.telemetry is not None:
-        raise SpecError(
-            "engine.shards",
-            "in-result telemetry blocks are not supported on sharded runs "
-            "(per-shard --trace files are; see docs/parallel_engine.md)")
 
     run_seed = spec.seed if seed is None else int(seed)
     next_hops = spec.graph.routing()
@@ -274,7 +297,7 @@ def run_sharded(spec, seed: Optional[int] = None, *,
             progress_cb(0.0, horizon)
 
         def all_apps_done() -> bool:
-            flat = [state for shard_states in states for _i, state in shard_states]
+            flat = [state for shard_states in states for state in shard_states]
             return (any(state is not None for state in flat)
                     and all(state in (None, True) for state in flat))
 
@@ -316,27 +339,22 @@ def run_sharded(spec, seed: Optional[int] = None, *,
             now = advance_to(horizon, now, want_done=False)
 
         pool.send_all(("finish", now))
-        merged: Dict[str, List] = {"apps": [], "links": [], "hosts": [], "workloads": []}
-        for reply in pool.recv_all():
-            _tag, sections = reply
-            for key, entries in sections.items():
-                merged[key].extend(entries)
+        parts = [reply[1] for reply in pool.recv_all()]
         result = ScenarioResult(
             name=spec.name,
             seed=run_seed,
             spec_digest=spec_digest(spec),
             duration_s=now,
         )
-        for key in merged:
-            merged[key].sort(key=lambda item: item[0])
-        result.apps = [entry for _key, entry in merged["apps"]]
-        result.links = [entry for _key, entry in merged["links"]]
-        result.hosts = [entry for _key, entry in merged["hosts"]]
-        result.workloads = [entry for _key, entry in merged["workloads"]]
+        for section, owners in _section_owners(spec, part).items():
+            setattr(result, section, _interleave(
+                [getattr(shard_result, section) for shard_result in parts], owners))
         if progress_cb is not None:
             progress_cb(now, horizon)
-    finally:
-        pool.shutdown()
+    except BaseException:
+        pool.shutdown(abort=True)
+        raise
+    pool.shutdown()
     if trace_path:
         _merge_traces(trace_path, pool.trace_paths)
     return result

@@ -1,42 +1,32 @@
-"""Build one shard's slice of a graph scenario.
+"""What a shard worker needs to compile its slice of a graph scenario.
 
-A shard is a normal :class:`~repro.scenario.builder.Scenario` — own
-simulator, own hosts, own apps/workloads/telemetry — restricted to the
-nodes the partition assigned to it.  Everything that feeds the determinism
-contract is derived from *global* declaration indices, never local ones:
-
-* default host addresses use the global host declaration index,
-* link RNG seeds use the global link index (``seed + (seed_offset or 2*i)``
-  forward, ``+1`` reverse — the :func:`~repro.netsim.graph.build_graph`
-  convention),
-* default app/workload labels and workload RNG streams use global
-  ``spec.apps`` / ``spec.workloads`` indices,
-
+A shard is an ordinary :class:`~repro.scenario.builder.Scenario` built by
+the one graph compiler, :func:`~repro.scenario.builder.build` →
+:func:`~repro.netsim.graph.build_graph`, with a :class:`ShardSlice` that
+restricts it to the nodes the partition assigned to this shard.  Everything
+that feeds the determinism contract is derived from *global* declaration
+indices, never local ones — default host addresses, ingress drain ranks,
+link RNG seeds, link ports, app/workload labels and workload RNG streams —
 so a shard builds its slice byte-identically to how the single-process
-build would have built those same objects.
+build builds those same objects.
 
-Cut links are owned by the *sending* side as :class:`.boundary.BoundaryLink`
-stubs; the receiving side only contributes its ``ip.receive`` callback to
-the inbound dispatch table.  Peers of address-only apps/workloads that live
-on another shard appear in ``scenario.hosts`` as :class:`RemoteHost`
-proxies (name + addr and nothing else — anything that actually needs the
-live object was colocated by the partitioner, or fails loudly here).
+Cut links are owned by the *sending* side as
+:class:`~repro.netsim.parallel.boundary.BoundaryLink` stubs; the receiving
+side records the destination node's ingress sequencer under the link's
+global index (``GraphNet.inbound``).  Peers of address-only apps/workloads
+that live on another shard resolve to :class:`RemoteHost` proxies (name +
+addr and nothing else — anything that actually needs the live object was
+colocated by the partitioner, or fails loudly at build time).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from ...hostmodel import HostCosts
-from ..engine import Simulator
-from ..link import Link
-from ..node import Host, Router
-from .boundary import BoundaryLink
 from .partition import Partition
 
-__all__ = ["RemoteHost", "Shard", "build_shard"]
+__all__ = ["RemoteHost", "ShardSlice"]
 
 
 @dataclass
@@ -45,293 +35,24 @@ class RemoteHost:
 
     name: str
     addr: str
-    #: Telemetry/validation probes skip hosts without a CM; a proxy never
-    #: has one.
+    #: Probes skip hosts without a CM; a proxy never has one.
     cm = None
     costs = None
 
 
 @dataclass
-class Shard:
-    """One worker's compiled slice plus its cross-shard plumbing."""
+class ShardSlice:
+    """The part of a graph one worker builds, and its cross-shard plumbing."""
 
+    part: Partition
     index: int
-    scenario: Any  # repro.scenario.builder.Scenario
+    #: The full-graph routing table, computed once by the coordinator —
+    #: routing is a pure function of the global link set, so no shard
+    #: recomputes it.
+    next_hops: Dict[str, Dict[str, str]]
     #: Cross-shard emissions accumulated during a window:
     #: ``(deliver_ts, global_link_index, seq, wire_tuple)``.
     outbox: List[Tuple] = field(default_factory=list)
-    #: Locally-owned halves of cut links, for the end-of-run stats fix-up.
-    boundary_links: List[BoundaryLink] = field(default_factory=list)
-    #: Inbound dispatch: global directed link index → the destination
-    #: node's :class:`~repro.netsim.ingress.IngressSequencer` (injected
-    #: packets join the same per-timestamp ordering as local deliveries).
-    receivers: Dict[int, Any] = field(default_factory=dict)
-    #: ``(global index in spec.apps, app)`` for locally-hosted apps.
-    apps: List[Tuple[int, Any]] = field(default_factory=list)
-    #: ``(global index in spec.workloads, workload)`` — ditto.
-    workloads: List[Tuple[int, Any]] = field(default_factory=list)
-    #: Global directed link index → (name, locally-owned Link) for stats.
-    links: Dict[int, Tuple[str, Link]] = field(default_factory=dict)
-    #: Host-kind node names owned here, with global declaration index.
-    hosts: List[Tuple[int, str]] = field(default_factory=list)
 
-    @property
-    def sim(self) -> Simulator:
-        return self.scenario.sim
-
-
-def build_shard(
-    spec,
-    run_seed: int,
-    part: Partition,
-    shard_index: int,
-    next_hops: Dict[str, Dict[str, str]],
-    trace_path: Optional[str] = None,
-):
-    """Compile shard ``shard_index`` of ``spec`` under partition ``part``.
-
-    ``next_hops`` is the full-graph routing table, computed once by the
-    coordinator (identical to what :func:`~repro.netsim.graph.build_graph`
-    would derive) and shipped to every worker — routing is a pure function
-    of the global link set, so no shard recomputes it.
-    """
-    from ...scenario.builder import Scenario, _attach_cm, workload_rng_seed
-    from ...scenario.spec import SpecError, default_addr
-    from ...scenario.telemetry import ScenarioTelemetry
-
-    graph_spec = spec.graph
-    shard_of = part.shard_of
-    sim = Simulator()
-    scenario = Scenario(spec=spec, seed=run_seed, sim=sim, hosts={})
-    shard = Shard(index=shard_index, scenario=scenario)
-
-    # --- nodes: local ones live, every host's address known globally -------
-    net_nodes: Dict[str, Any] = {}
-    addr_of: Dict[str, str] = {}
-    host_names = set()
-    host_index = 0
-    for node_index, node in enumerate(graph_spec.nodes):
-        local = shard_of[node.name] == shard_index
-        if node.kind == "host":
-            addr = node.addr or default_addr(host_index)
-            host_index += 1
-            addr_of[node.name] = addr
-            host_names.add(node.name)
-            if local:
-                costs = HostCosts() if node.costs else None
-                host = Host(sim, node.name, addr, costs=costs)
-                net_nodes[node.name] = host
-                shard.hosts.append((node_index, node.name))
-        elif local:
-            net_nodes[node.name] = Router(sim, node.name, node.addr)
-
-    # Per-node ingress sequencers, ranked by *global* node declaration
-    # index — identical drain scheduling to the single-process build.
-    from ..ingress import IngressSequencer
-
-    ingress: Dict[str, IngressSequencer] = {}
-    for node_index, node in enumerate(graph_spec.nodes):
-        if node.name in net_nodes:
-            ingress[node.name] = IngressSequencer(
-                sim, node_index, net_nodes[node.name].ip.receive)
-
-    # --- links: every directed link with a local source is owned here ------
-    net_links: Dict[Tuple[str, str], Link] = {}
-    for index, link_spec in enumerate(graph_spec.links):
-        offset = link_spec.seed_offset if link_spec.seed_offset else 2 * index
-        loss = link_spec.loss_rate
-        reverse_loss = (
-            loss if link_spec.reverse_loss_rate is None else link_spec.reverse_loss_rate
-        )
-        directions = (
-            (0, link_spec.a, link_spec.b, loss),
-            (1, link_spec.b, link_spec.a, reverse_loss),
-        )
-        for direction, a, b, loss_rate in directions:
-            gidx = 2 * index + direction
-            local_src = shard_of[a] == shard_index
-            local_dst = shard_of[b] == shard_index
-            if local_dst and not local_src:
-                shard.receivers[gidx] = ingress[b]
-            if not local_src:
-                continue
-            kwargs = dict(
-                rate_bps=link_spec.rate_bps,
-                delay=link_spec.delay,
-                queue_limit=link_spec.queue_limit,
-                loss_rate=loss_rate,
-                ecn_threshold=link_spec.ecn_threshold,
-                seed=run_seed + offset + direction,
-                # Config mappings, normalized per Link: each direction owns
-                # a fresh stateful model, exactly as in build_graph.
-                loss_model=link_spec.loss,
-                aqm=link_spec.aqm,
-                name=f"{a}->{b}",
-            )
-            if local_dst:
-                link = Link(sim, **kwargs)
-                link.attach(ingress[b].port(gidx))
-            else:
-                link = BoundaryLink(sim, shard.outbox, gidx, **kwargs)
-                shard.boundary_links.append(link)
-            net_links[(a, b)] = link
-            shard.links[gidx] = (f"{a}->{b}", link)
-
-    # --- static routes (host destinations only, build_graph convention) ----
-    for name, node in net_nodes.items():
-        for dst_name, via in next_hops.get(name, {}).items():
-            if dst_name not in host_names:
-                continue
-            node.add_route(addr_of[dst_name], net_links[(name, via)])
-
-    # graph_net lets telemetry bind link probes exactly like a full build.
-    from ..graph import GraphNet
-
-    scenario.graph_net = GraphNet(
-        nodes=net_nodes,
-        hosts={name: node for name, node in net_nodes.items() if name in host_names},
-        links=net_links,
-        next_hops=next_hops,
-        ingress=ingress,
-    )
-    for name in host_names:
-        if name in net_nodes:
-            scenario.hosts[name] = net_nodes[name]
-        else:
-            scenario.hosts[name] = RemoteHost(name, addr_of[name])
-    for node in graph_spec.nodes:
-        if node.cm and shard_of[node.name] == shard_index:
-            _attach_cm(net_nodes[node.name], node)
-
-    # --- scheduled reroutes: every shard replays the same global sequence --
-    # Routing is a pure function of the global edge set, so each shard keeps
-    # its own copy of the full (delay-weighted) edges, applies every change
-    # to it and reinstalls routes for its local nodes only.  Scheduled here
-    # — after CM attach, before apps — matching the single-process build's
-    # event ordering.  The partitioner already bounded the lookahead by the
-    # post-reroute minimum cut delay, so a shortened cut link stays safe.
-    if graph_spec.reroutes:
-        from ..graph import install_routes, shortest_path_next_hops
-
-        edges: Dict[Tuple[str, str], float] = {}
-        for link_spec in graph_spec.links:
-            edges[(link_spec.a, link_spec.b)] = link_spec.delay
-            edges[(link_spec.b, link_spec.a)] = link_spec.delay
-
-        def apply_reroute(a: str, b: str, delay: float) -> None:
-            delay = float(delay)
-            for pair in ((a, b), (b, a)):
-                edges[pair] = delay
-                link = net_links.get(pair)
-                if link is not None:
-                    link.delay = delay
-            tables = shortest_path_next_hops(edges)
-            scenario.graph_net.next_hops = tables
-            install_routes(net_nodes, addr_of, net_links, tables)
-
-        for reroute in graph_spec.reroutes:
-            sim.schedule(reroute.time, apply_reroute,
-                         reroute.a, reroute.b, reroute.delay)
-
-    # --- apps / workloads on local hosts, global indices throughout --------
-    from ...scenario.applications import get_application
-
-    for index, app_spec in enumerate(spec.apps):
-        if shard_of[app_spec.host] != shard_index:
-            continue
-        params = app_spec.normalized_params()
-        app_cls = get_application(app_spec.app)
-        peer = scenario.hosts[app_spec.peer] if app_spec.peer else None
-        if app_cls.colocate_peer and isinstance(peer, RemoteHost):
-            raise SpecError(  # partitioner guarantees this; fail loud if not
-                f"apps[{index}]",
-                f"{app_spec.app!r} needs its peer {app_spec.peer!r} on the same shard",
-            )
-        try:
-            app = app_cls(net_nodes[app_spec.host], peer, app_spec, params)
-        except SpecError:
-            raise
-        except (RuntimeError, ValueError) as exc:
-            raise SpecError(f"apps[{index}]", f"building {app_spec.app!r} failed: {exc}") from exc
-        if not app_spec.label:
-            app.label = f"{app_spec.app}[{index}]"
-        scenario.apps.append(app)
-        shard.apps.append((index, app))
-
-    if spec.workloads:
-        from ...workloads import get_workload
-
-        for index, workload_spec in enumerate(spec.workloads):
-            if shard_of[workload_spec.host] != shard_index:
-                continue
-            workload_cls = get_workload(workload_spec.kind)
-            if (workload_cls.colocate_peer and workload_spec.peer
-                    and isinstance(scenario.hosts[workload_spec.peer], RemoteHost)):
-                raise SpecError(  # partitioner guarantees this; fail loud if not
-                    f"workloads[{index}]",
-                    f"{workload_spec.kind!r} needs its peer {workload_spec.peer!r} "
-                    "on the same shard",
-                )
-            rng = random.Random(
-                workload_rng_seed(run_seed, workload_spec.seed_offset, index))
-            try:
-                workload = workload_cls(
-                    scenario, workload_spec, workload_spec.normalized_params(), rng)
-            except SpecError:
-                raise
-            except (RuntimeError, ValueError) as exc:
-                raise SpecError(
-                    f"workloads[{index}]",
-                    f"building {workload_spec.kind!r} failed: {exc}") from exc
-            if not workload_spec.label:
-                workload.label = f"{workload_spec.kind}[{index}]"
-            scenario.workloads.append(workload)
-            shard.workloads.append((index, workload))
-
-    if trace_path is not None:
-        scenario.telemetry = ScenarioTelemetry(None, run_seed, sim, trace_path=trace_path)
-        scenario.telemetry.attach(scenario)
-    return shard
-
-
-def collect_shard(shard: Shard, spec, duration: float) -> Dict[str, List]:
-    """Harvest this shard's slice of the result, keyed for the global merge.
-
-    Every entry is ``(global_sort_key, payload_dict)``; the coordinator
-    concatenates across shards, sorts by key and recovers exactly the
-    single-process section order (spec declaration order throughout).
-    """
-    from ...scenario.runner import _link_metrics
-
-    groups = set(spec.metrics)
-    sections: Dict[str, List] = {"apps": [], "links": [], "hosts": [], "workloads": []}
-    if "apps" in groups:
-        for index, app in shard.apps:
-            sections["apps"].append((index, {
-                "app": app.spec.app,
-                "host": app.spec.host,
-                "label": app.label,
-                "metrics": app.metrics(),
-            }))
-    if "links" in groups:
-        for gidx in sorted(shard.links):
-            name, link = shard.links[gidx]
-            sections["links"].append((gidx, _link_metrics(name, link)))
-    if "hosts" in groups:
-        for node_index, name in shard.hosts:
-            costs = shard.scenario.hosts[name].costs
-            entry: Dict[str, Any] = {"host": name}
-            if costs is not None:
-                entry["cpu_total_us"] = costs.total_us
-                entry["cpu_utilization"] = (
-                    costs.utilization(duration) if duration > 0 else 0.0)
-                entry["cpu_by_category_us"] = dict(sorted(costs.ledger.snapshot().items()))
-            sections["hosts"].append((node_index, entry))
-    for index, workload in shard.workloads:
-        sections["workloads"].append((index, {
-            "kind": workload.spec.kind,
-            "host": workload.spec.host,
-            "label": workload.label,
-            "metrics": workload.metrics(),
-        }))
-    return sections
+    def is_local(self, node_name: str) -> bool:
+        return self.part.shard_of[node_name] == self.index

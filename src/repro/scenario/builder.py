@@ -33,6 +33,7 @@ from ..core.manager import CongestionManager
 from ..core.scheduler import RoundRobinScheduler, Scheduler, WeightedRoundRobinScheduler
 from ..hostmodel import HostCosts
 from ..netsim import Channel, Dumbbell, GraphNet, Host, Simulator, build_dumbbell, build_graph
+from ..netsim.parallel.shard import RemoteHost, ShardSlice
 from .applications import Application, get_application
 from .spec import ScenarioSpec, SpecError, default_addr
 from .telemetry import ScenarioTelemetry
@@ -89,6 +90,12 @@ class Scenario:
         """Look up a host by spec name."""
         return self.hosts[name]
 
+    def peer(self, name: str):
+        """Host ``name``, or an address-only proxy if another shard runs it."""
+        if name in self.hosts or self.graph_net is None:
+            return self.hosts[name]
+        return RemoteHost(name, self.graph_net.host_addrs[name])
+
     def channel(self, a: str, b: str) -> Channel:
         """Look up the channel between two hosts (order as in the spec)."""
         return self.channels[(a, b)]
@@ -103,30 +110,21 @@ def _attach_cm(host: Host, host_spec) -> CongestionManager:
     )
 
 
-def _build_graph_topology(scenario: Scenario, spec: ScenarioSpec, run_seed: int) -> None:
+def _build_graph_topology(scenario: Scenario, spec: ScenarioSpec, run_seed: int,
+                          shard: Optional[ShardSlice]) -> None:
     """Wire a ``graph:`` block through :func:`repro.netsim.graph.build_graph`.
 
     Node and link declaration order is preserved (construction order is part
     of the determinism contract); static shortest-path routes are installed
     into every node's routing table, and CMs attach to ``cm``-flagged hosts
     in node order afterwards — the same phasing the explicit-hosts branch
-    uses.
+    uses.  ``shard`` restricts the build to one shard's slice.
     """
     graph_spec = spec.graph
-    host_index = 0
-    node_payloads = []
-    for node in graph_spec.nodes:
-        addr = node.addr
-        if not addr and node.kind == "host":
-            addr = default_addr(host_index)
-        if node.kind == "host":
-            host_index += 1
-        node_payloads.append({
-            "name": node.name,
-            "kind": node.kind,
-            "addr": addr,
-            "costs": node.costs,
-        })
+    node_payloads = [
+        {"name": node.name, "kind": node.kind, "addr": node.addr, "costs": node.costs}
+        for node in graph_spec.nodes
+    ]
     link_payloads = [
         {
             "a": link.a,
@@ -145,23 +143,26 @@ def _build_graph_topology(scenario: Scenario, spec: ScenarioSpec, run_seed: int)
     ]
     net = build_graph(
         scenario.sim, node_payloads, link_payloads,
-        seed=run_seed, host_costs_factory=HostCosts,
+        seed=run_seed, host_costs_factory=HostCosts, shard=shard,
     )
     scenario.graph_net = net
     scenario.hosts.update(net.hosts)
     for node in graph_spec.nodes:
-        if node.cm:
+        if node.cm and node.name in net.hosts:
             _attach_cm(net.hosts[node.name], node)
     # Reroute events are scheduled at build time (not by the runner) so the
     # event sequence numbering is identical in the single-process and
-    # sharded engines, which schedule them from the same declaration order.
+    # sharded engines.  Every shard replays the whole sequence: routing is a
+    # pure function of the global edge set, and apply_reroute reinstalls
+    # routes for the local nodes only.
     for reroute in graph_spec.reroutes:
         scenario.sim.schedule(reroute.time, net.apply_reroute,
                               reroute.a, reroute.b, reroute.delay)
 
 
 def build(spec: ScenarioSpec, seed: Optional[int] = None,
-          trace_path: Optional[str] = None) -> Scenario:
+          trace_path: Optional[str] = None,
+          shard: Optional[ShardSlice] = None) -> Scenario:
     """Validate ``spec`` and wire the simulation it describes.
 
     ``seed`` overrides ``spec.seed``; it feeds every link's loss RNG (offset
@@ -169,6 +170,12 @@ def build(spec: ScenarioSpec, seed: Optional[int] = None,
     additionally streams every telemetry event and sample to a JSON-lines
     file (attaching probes even when the spec carries no telemetry block —
     the result payload is unaffected in that case).
+
+    ``shard`` (graph specs only) builds one sharded-engine worker's slice:
+    the nodes it owns and the apps and workloads on them, with every label,
+    seed and address still derived from global declaration indices.  A
+    peer on another shard resolves to an address-only proxy (see
+    :meth:`Scenario.peer`).  ``None`` builds the whole scenario.
     """
     spec.validate()
     run_seed = spec.seed if seed is None else int(seed)
@@ -200,7 +207,7 @@ def build(spec: ScenarioSpec, seed: Optional[int] = None,
         for index in dumbbell_spec.cm_senders:
             CongestionManager(dumbbell.senders[index])
     elif spec.graph is not None:
-        _build_graph_topology(scenario, spec, run_seed)
+        _build_graph_topology(scenario, spec, run_seed, shard)
     else:
         for index, host_spec in enumerate(spec.hosts):
             addr = host_spec.addr or default_addr(index)
@@ -232,12 +239,18 @@ def build(spec: ScenarioSpec, seed: Optional[int] = None,
                 _attach_cm(hosts[host_spec.name], host_spec)
 
     for index, app_spec in enumerate(spec.apps):
+        if app_spec.host not in hosts:
+            continue  # simulated on another shard
         # spec.validate() above already walked every app's schema and cached
         # the defaults-applied params; reuse them instead of re-validating
         # on the per-trial construction path.
         params = app_spec.normalized_params()
         app_cls = get_application(app_spec.app)
-        peer = hosts[app_spec.peer] if app_spec.peer else None
+        if app_cls.colocate_peer and app_spec.peer and app_spec.peer not in hosts:
+            raise SpecError(  # the partitioner colocates these; fail loud if not
+                f"apps[{index}]",
+                f"{app_spec.app!r} needs its peer {app_spec.peer!r} on the same shard")
+        peer = scenario.peer(app_spec.peer) if app_spec.peer else None
         try:
             app = app_cls(hosts[app_spec.host], peer, app_spec, params)
         except SpecError:
@@ -252,7 +265,15 @@ def build(spec: ScenarioSpec, seed: Optional[int] = None,
         from ..workloads import get_workload
 
         for index, workload_spec in enumerate(spec.workloads):
+            if workload_spec.host not in hosts:
+                continue  # simulated on another shard
             workload_cls = get_workload(workload_spec.kind)
+            if (workload_cls.colocate_peer and workload_spec.peer
+                    and workload_spec.peer not in hosts):
+                raise SpecError(  # the partitioner colocates these; fail loud if not
+                    f"workloads[{index}]",
+                    f"{workload_spec.kind!r} needs its peer {workload_spec.peer!r} "
+                    "on the same shard")
             # Each generator draws from its own RNG stream (see
             # workload_rng_seed for the shard-invariance contract).
             rng = random.Random(workload_rng_seed(run_seed, workload_spec.seed_offset, index))

@@ -347,8 +347,7 @@ def run_streaming(spec: ScenarioSpec, seed: Optional[int] = None, *,
     same ``(spec, seed)`` — see docs/parallel_engine.md.  Mid-run control
     hooks are a single-process feature: combining one with sharding raises.
     """
-    effective = shards if shards is not None else (
-        spec.engine.shards if spec.engine is not None else 1)
+    effective = spec.shard_count(shards)
     if effective > 1:
         if control_hook is not None:
             raise SpecError(

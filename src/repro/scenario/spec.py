@@ -1005,14 +1005,31 @@ class ScenarioSpec:
             self.telemetry.validate("telemetry")
         if self.engine is not None:
             self.engine.validate("engine")
-            if self.engine.shards > 1:
-                _require(self.graph is not None, "engine.shards",
-                         "sharded execution needs a graph topology "
-                         "(hosts/links and dumbbell scenarios run single-process)")
+            self.shard_count()
         for metric in self.metrics:
             _require(metric in METRIC_GROUPS, "metrics",
                      f"unknown metric group {metric!r}; choose from {', '.join(METRIC_GROUPS)}")
         return self
+
+    def shard_count(self, shards: Optional[int] = None) -> int:
+        """The shard count a run of this spec uses; SpecError if it can't shard.
+
+        ``shards`` overrides ``engine.shards`` (``None`` defers to it, and no
+        engine block means 1).  More than one shard needs a graph topology
+        and no in-result telemetry block.  This is the one "can this spec
+        run sharded?" check: validation, the sharded runner and the service
+        all call it.
+        """
+        count = shards if shards is not None else (
+            self.engine.shards if self.engine is not None else 1)
+        if count > 1:
+            _require(self.graph is not None, "engine.shards",
+                     "sharded execution needs a graph topology "
+                     "(hosts/links and dumbbell scenarios run single-process)")
+            _require(self.telemetry is None, "engine.shards",
+                     "in-result telemetry blocks are not supported on sharded runs "
+                     "(per-shard --trace files are; see docs/parallel_engine.md)")
+        return count
 
     def seal(self) -> "ScenarioSpec":
         """Validate, then freeze this spec tree in place; returns ``self``.

@@ -357,19 +357,7 @@ class JobManager:
         failed job.
         """
         spec.validate()
-        effective = shards if shards is not None else (
-            spec.engine.shards if spec.engine is not None else 1)
-        if effective > 1:
-            if spec.graph is None:
-                raise SpecError(
-                    "engine.shards",
-                    "sharded execution needs a graph topology "
-                    "(hosts/links and dumbbell scenarios run single-process)")
-            if spec.telemetry is not None:
-                raise SpecError(
-                    "engine.shards",
-                    "in-result telemetry blocks are not supported on sharded "
-                    "runs (per-shard --trace files are)")
+        effective = spec.shard_count(shards)
         run_seed = spec.seed if seed is None else int(seed)
         with self._lock:
             if self._shutdown:

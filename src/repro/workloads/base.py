@@ -76,7 +76,7 @@ class Workload:
         self.params = params
         self.rng = rng
         self.host = host
-        self.peer = scenario.hosts[spec.peer] if spec.peer else None
+        self.peer = scenario.peer(spec.peer) if spec.peer else None
         self.sim = scenario.sim
         self.label = spec.label or spec.kind
         self._stopped = False

@@ -537,6 +537,89 @@ class TestServiceSharding:
 
 
 # ===================================================================== #
+# A shard worker that dies mid-run                                      #
+# ===================================================================== #
+_TEST_PID = os.getpid()
+
+
+@pytest.fixture
+def crash_app():
+    """Register an app that kills its process at a set simulated time.
+
+    Shard workers fork, so they inherit the registration.  The app refuses
+    to kill the test process itself.
+    """
+    from repro.scenario.applications import (
+        APPLICATIONS,
+        Application,
+        Param,
+        register_application,
+    )
+
+    class CrashApp(Application):
+        name = "crash_for_test"
+        PARAMS = {"at": Param(float, default=0.5)}
+
+        def start(self):
+            self.sim.at(self.params["at"], self._crash)
+
+        def _crash(self):
+            if os.getpid() == _TEST_PID:
+                raise RuntimeError("crash_for_test ran in the test process")
+            os._exit(1)
+
+    register_application(CrashApp)
+    yield CrashApp.name
+    APPLICATIONS.pop(CrashApp.name)
+
+
+def _crash_spec(app_name):
+    spec = _chain_spec(["a", "b", "c", "d"], [0.01, 0.05, 0.01])
+    spec.apps = [AppSpec(app=app_name, host="c")]
+    spec.stop = StopSpec(until=2.0)
+    return spec
+
+
+class TestDeadShardWorker:
+    def test_run_sharded_raises_naming_the_dead_shard(self, crash_app):
+        import multiprocessing
+        import threading
+
+        spec = _crash_spec(crash_app)
+        dead = partition_graph(spec, 2).shard_of["c"]
+        outcome = {}
+
+        def target():
+            try:
+                run_sharded(spec, shards=2)
+            except BaseException as exc:
+                outcome["error"] = exc
+
+        thread = threading.Thread(target=target, daemon=True)
+        thread.start()
+        thread.join(timeout=60.0)
+        assert not thread.is_alive(), "run_sharded hung on a dead worker"
+        assert isinstance(outcome.get("error"), RuntimeError)
+        assert f"shard worker {dead} " in str(outcome["error"])
+        assert multiprocessing.active_children() == []
+
+    def test_service_job_with_a_dead_worker_fails(self, crash_app):
+        import multiprocessing
+
+        from repro.service.jobs import JobManager
+
+        manager = JobManager(slots=1)
+        try:
+            job = manager.submit(_crash_spec(crash_app), shards=2)
+            manager.wait(job.id, timeout=60.0)
+            assert job.state == "failed"
+            assert "shard worker" in job.error
+        finally:
+            manager.shutdown()
+        assert multiprocessing.active_children() == []
+
+
+# ===================================================================== #
 # Per-shard traces                                                      #
 # ===================================================================== #
 class TestShardedTraces:
