@@ -603,6 +603,31 @@ class TestDeadShardWorker:
         assert f"shard worker {dead} " in str(outcome["error"])
         assert multiprocessing.active_children() == []
 
+    def test_cancelled_sharded_job_stops_its_workers_promptly(self):
+        # Workers blocked in recv never see EOF (each holds its own pipe's
+        # coordinator end), so teardown must kill them, not wait them out.
+        import multiprocessing
+        import time
+
+        from repro.service.jobs import JobManager
+
+        spec = get_preset("star_web_churn")
+        spec.stop = StopSpec(until=600.0)
+        manager = JobManager(slots=1)
+        try:
+            job = manager.submit(spec, shards=2)
+            deadline = time.time() + 60.0
+            while job.sim_time < 0.5 and time.time() < deadline:
+                time.sleep(0.01)
+            started = time.time()
+            job.cancel()
+            manager.wait(job.id, timeout=60.0)
+            assert job.state == "cancelled"
+            assert time.time() - started < 4.0
+        finally:
+            manager.shutdown()
+        assert multiprocessing.active_children() == []
+
     def test_service_job_with_a_dead_worker_fails(self, crash_app):
         import multiprocessing
 
