@@ -26,17 +26,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..core.congestion import AimdWindowController, CongestionController, RateAimdController
 from ..core.manager import CongestionManager
 from ..core.scheduler import RoundRobinScheduler, Scheduler, WeightedRoundRobinScheduler
 from ..hostmodel import HostCosts
 from ..netsim import Channel, Dumbbell, GraphNet, Host, Simulator, build_dumbbell, build_graph
-from ..netsim.parallel.shard import RemoteHost, ShardSlice
 from .applications import Application, get_application
 from .spec import ScenarioSpec, SpecError, default_addr
 from .telemetry import ScenarioTelemetry
+
+if TYPE_CHECKING:  # importing repro.netsim.parallel loads multiprocessing
+    from ..netsim.parallel.shard import ShardSlice
 
 __all__ = ["Scenario", "build", "workload_rng_seed"]
 
@@ -94,6 +96,8 @@ class Scenario:
         """Host ``name``, or an address-only proxy if another shard runs it."""
         if name in self.hosts or self.graph_net is None:
             return self.hosts[name]
+        from ..netsim.parallel.shard import RemoteHost
+
         return RemoteHost(name, self.graph_net.host_addrs[name])
 
     def channel(self, a: str, b: str) -> Channel:

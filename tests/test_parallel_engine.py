@@ -128,6 +128,23 @@ class TestShardedByteIdentity:
         with pytest.raises(SpecError):
             run(spec, shards=2)
 
+    def test_in_result_telemetry_on_a_sharded_graph_is_a_spec_error(self):
+        from repro.scenario.spec import TelemetrySpec
+        from repro.service.jobs import JobManager
+
+        spec = get_preset("star_web_churn")
+        spec.telemetry = TelemetrySpec()
+        with pytest.raises(SpecError, match="in-result telemetry") as raised:
+            run(spec, shards=2)
+        assert raised.value.path == "engine.shards"
+        manager = JobManager(slots=1)
+        try:
+            with pytest.raises(SpecError, match="in-result telemetry"):
+                manager.submit(spec, shards=2)
+            assert manager.jobs() == []
+        finally:
+            manager.shutdown()
+
 
 # ===================================================================== #
 # Partitioner properties                                                #
