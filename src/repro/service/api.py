@@ -454,12 +454,12 @@ class ServiceApi:
                         after=self.on_shutdown)
 
 
-# ---------------------------------------------------------- snapshot shaping
 def _is_int(value: Any) -> bool:
     """A JSON integer; ``true``/``false`` decode to bools, which are not."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# ---------------------------------------------------------- snapshot shaping
 def _jsonable(value: Any) -> Any:
     if isinstance(value, tuple):
         return [_jsonable(item) for item in value]
